@@ -426,6 +426,20 @@ def _cmd_paper(args, out) -> int:
     return EXIT_OK if bad == 0 else EXIT_NUMERIC
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    return value
+
+
+def _positive_finite(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conespec",
@@ -446,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="exact spectrum of a domain")
     p.add_argument("expr")
-    p.add_argument("--max-nu", type=float, default=30.0)
+    p.add_argument("--max-nu", type=_positive_finite, default=30.0)
     add_common(p)
     p.set_defaults(func=_cmd_spectrum)
 
@@ -454,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--reference", required=True)
     p.add_argument("--method", choices=("linear", "quadratic"), default="linear")
-    p.add_argument("--modes", type=int, default=5)
+    p.add_argument("--modes", type=_positive_int, default=5)
     add_common(p)
     p.set_defaults(func=_cmd_estimate)
 

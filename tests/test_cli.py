@@ -79,6 +79,32 @@ class TestExitCodes:
         code, _ = run(["size", "S0"])
         assert code == 0
 
+    def test_zero_denominator_is_2(self):
+        code, _ = run(["spectrum", "Arc(pi/0)"])
+        assert code == 2
+
+    def test_sector_angles_out_of_range_are_2(self):
+        for expr in ("Sector(theta=4, phi=9)", "Sector(theta=pi/3, phi=7)"):
+            code, _ = run(["coeffs", expr])
+            assert code == 2, expr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--target", "RegularT(3, rho=0.5)", "--reference", "T(3)",
+             "--modes", "-3"],
+            ["estimate", "--target", "RegularT(3, rho=0.5)", "--reference", "T(3)",
+             "--modes", "0"],
+            ["spectrum", "T(3)", "--max-nu", "nan"],
+            ["spectrum", "T(3)", "--max-nu", "inf"],
+            ["spectrum", "T(3)", "--max-nu", "0"],
+        ],
+    )
+    def test_bad_option_value_is_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
 
 class TestEstimate:
     def test_paper_example(self):

@@ -1,9 +1,11 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 from conespec.domain import DIRICHLET, NEUMANN, parse_domain
-from conespec.errors import NotPositiveDefinite
+from conespec.errors import NotPositiveDefinite, UnsupportedDomain
 from conespec.geometry import (
     cap_geometry,
     catalog_geometry,
@@ -54,6 +56,19 @@ class TestRegularTSize:
             values = [regular_t_size(n, i / 10.0) for i in range(10)]
             assert all(a < b for a, b in zip(values, values[1:]))
 
+    def test_against_mpmath(self):
+        # (6, 0.9455) sits in a narrow window where Gauss-Hermite orders
+        # 256 and 512 agreed to 3e-11 while both were 7e-9 off
+        with mpmath.workdps(30):
+            for n, rho in ((3, 0.3), (4, 0.8), (6, 0.9455), (5, 0.999)):
+                c = mpmath.sqrt(mpmath.mpf(rho) / (1 - mpmath.mpf(rho)))
+                fraction = mpmath.quad(
+                    lambda u: mpmath.exp(-u * u) * mpmath.erfc(c * u) ** n,
+                    [-mpmath.inf, -1 / c, 0, 1 / c, mpmath.inf],
+                ) / mpmath.sqrt(mpmath.pi)
+                exact = float(fraction * mpmath.mpf(sphere_size(n)) / 2**n)
+                assert regular_t_size(n, rho) == pytest.approx(exact, rel=1e-12), (n, rho)
+
     def test_rho_to_one_limit(self):
         # the domain swells to a hemisphere as rho -> 1
         # (closed form at n = 3: 3 arccos(-1) - pi = 2 pi)
@@ -102,12 +117,81 @@ class TestGeneralTSize:
                 math.acos(-rho) / (2 * math.pi), rel=1e-12
             )
 
-    def test_qmc_dimension_four(self):
+    def test_plackett_dimension_four(self):
         rho = 0.25
         mat = [[1.0 if i == j else rho for j in range(4)] for i in range(4)]
         frac = general_t_size_fraction(mat)
         expect = regular_t_size(4, rho) / sphere_size(4)
-        assert frac == pytest.approx(expect, abs=2e-3)
+        assert frac == pytest.approx(expect, rel=1e-12)
+
+    def test_equicorrelated_matches_regular(self):
+        for n in (4, 5, 6, 7):
+            for rho in (0.1, 0.5, 0.9):
+                mat = np.full((n, n), rho)
+                np.fill_diagonal(mat, 1.0)
+                expect = regular_t_size(n, rho) / sphere_size(n)
+                assert general_t_size_fraction(mat) == pytest.approx(
+                    expect, rel=1e-12
+                ), (n, rho)
+
+    @staticmethod
+    def _closed_form(block):
+        # orthant probabilities of one, two and three coordinates
+        k = len(block)
+        if k == 1:
+            return 0.5
+        if k == 2:
+            return math.acos(-block[0][1]) / (2 * math.pi)
+        angles = math.acos(-block[0][1]) + math.acos(-block[0][2]) + math.acos(-block[1][2])
+        return (angles - math.pi) / (4 * math.pi)
+
+    def test_block_diagonal_is_product(self):
+        blocks = (
+            [[1.0, -0.4], [-0.4, 1.0]],
+            [[1.0, 0.7, -0.3], [0.7, 1.0, 0.2], [-0.3, 0.2, 1.0]],
+            [[1.0]],
+            [[1.0, -0.6, -0.2], [-0.6, 1.0, 0.5], [-0.2, 0.5, 1.0]],
+            [[1.0, 0.85], [0.85, 1.0]],
+        )
+        rng = np.random.default_rng(11)
+        for chosen in ((0, 0), (1, 2), (0, 1), (1, 3), (1, 4, 0), (3, 1, 2)):
+            parts = [blocks[k] for k in chosen]
+            n = sum(len(b) for b in parts)
+            mat = np.eye(n)
+            at = 0
+            for b in parts:
+                mat[at : at + len(b), at : at + len(b)] = b
+                at += len(b)
+            perm = rng.permutation(n)
+            expect = math.prod(self._closed_form(b) for b in parts)
+            got = general_t_size_fraction(mat[np.ix_(perm, perm)])
+            assert got == pytest.approx(expect, rel=1e-12), chosen
+
+    def test_ill_conditioned_block(self):
+        # smallest eigenvalue 3.8e-4: the nodes graded toward t = 1 keep
+        # 1e-12; an ungraded 40-node rule in theta is off by 3e-6
+        ill = [[1.0, 0.1741, -0.1672], [0.1741, 1.0, -0.9996], [-0.1672, -0.9996, 1.0]]
+        mat = np.eye(5)
+        mat[:3, :3] = ill
+        mat[3:, 3:] = [[1.0, 0.5], [0.5, 1.0]]
+        expect = self._closed_form(ill) * (math.acos(-0.5) / (2 * math.pi))
+        assert general_t_size_fraction(mat) == pytest.approx(expect, rel=1e-10)
+
+    def test_deterministic(self):
+        mat = np.array(
+            [
+                [1.0, 0.3, -0.2, 0.1, 0.4],
+                [0.3, 1.0, 0.25, -0.1, 0.0],
+                [-0.2, 0.25, 1.0, 0.35, 0.2],
+                [0.1, -0.1, 0.35, 1.0, -0.3],
+                [0.4, 0.0, 0.2, -0.3, 1.0],
+            ]
+        )
+        assert general_t_size_fraction(mat) == general_t_size_fraction(mat)
+
+    def test_dimension_eight_unsupported(self):
+        with pytest.raises(UnsupportedDomain):
+            general_t_size_fraction(np.eye(8))
 
     def test_rejects_non_positive_definite(self):
         with pytest.raises(NotPositiveDefinite):

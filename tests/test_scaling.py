@@ -226,12 +226,34 @@ class TestFlatLimits:
             assert x == pytest.approx(y, rel=1e-12)
 
 
+class TestCutoff:
+    def test_large_modes_match_a_long_expansion(self):
+        # the expansion starts low and doubles; its first degrees are those
+        # of an expansion far past the last mode
+        target = parse_domain("Sector(theta=1.2, phi=pi/6)")
+        reference = parse_domain("Sector(theta=pi/2, phi=pi/6)")
+        modes = 300
+        for bc in (DIRICHLET, NEUMANN):
+            form = domain_m(reference, bc)
+            long = expand_series(form, form.first_exponent() + 3.0 * modes + 10.0)
+            rows = estimate_pair(target, reference, bc, modes=modes).rows
+            assert [r[1] for r in rows] == long.flattened()[:modes]
+
+
 class TestErrors:
     def test_insufficient_modes(self):
         series = ref_series("T(3)", nu_max=5.0)  # holds degrees 3 and 5 only
         t3 = inputs("T(3)")
         with pytest.raises(InsufficientModes):
             estimate_linear(linear_params(t3, t3), series, 50)
+
+    def test_modes_below_one_rejected(self):
+        for modes in (0, -3):
+            with pytest.raises(ValueError):
+                estimate_pair(
+                    parse_domain("RegularT(3, rho=0.5)"), parse_domain("T(3)"),
+                    DIRICHLET, modes=modes,
+                )
 
     def test_unknown_method(self):
         with pytest.raises(UnsupportedDomain):

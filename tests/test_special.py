@@ -23,7 +23,7 @@ class TestGamma:
     def test_against_mpmath(self):
         for x in (0.1, 0.5, 1.0, 1.5, 2.0, 3.7, 10.0, 25.5, 50.0):
             ref = float(mpmath.gamma(x))
-            assert gamma_fn(x) == pytest.approx(ref, rel=1e-12)
+            assert gamma_fn(x) == pytest.approx(ref, rel=1e-14)
 
     def test_half_integer_closed_forms(self):
         assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
@@ -56,7 +56,7 @@ class TestErfc:
         for i in range(-80, 81):
             x = i / 10.0
             ref = float(mpmath.erfc(x))
-            assert erfc_fn(x) == pytest.approx(ref, rel=1e-12), x
+            assert erfc_fn(x) == pytest.approx(ref, rel=1e-14), x
 
     def test_reflection(self):
         for x in (0.2, 1.0, 3.5):
