@@ -1,7 +1,7 @@
 """Spherical domains as expressions over join products.
 
 A domain is either an atom (S0, T0), a named catalog domain, or a join
-product of two domains. Join is canonicalized to a left-leaning spine.
+product of two or more such domains, held as one flat tuple of factors.
 The grammar accepted by :func:`parse_domain`:
 
     expr   := term { "*" term }
@@ -60,11 +60,17 @@ class Named:
 
 @dataclass(frozen=True)
 class Join:
-    left: "DomainExpr"
-    right: "DomainExpr"
+    """Join product of two or more factors, none of them a Join; build
+    one with :func:`join`, which flattens nested joins."""
+
+    parts: tuple["DomainExpr", ...]
+
+    def __post_init__(self) -> None:
+        if len(self.parts) < 2 or any(isinstance(p, Join) for p in self.parts):
+            raise ValueError("Join needs two or more factors, none of them a Join")
 
     def __str__(self) -> str:
-        return f"{self.left} * {self.right}"
+        return " * ".join(map(str, self.parts))
 
 
 DomainExpr = Union[AtomS0, AtomT0, Named, Join]
@@ -94,7 +100,6 @@ NEUMANN = BoundaryCondition("neumann")
 class DomainCapabilities:
     ambient_dim: int
     spectrum_exact: bool
-    geometry_known: bool
 
 
 def ambient_dim(d: DomainExpr) -> int:
@@ -107,31 +112,22 @@ def ambient_dim(d: DomainExpr) -> int:
         if d.kind == "Arc":
             return 2
         return 3  # Cap, Sector on S^2
-    return ambient_dim(d.left) + ambient_dim(d.right)
+    return sum(map(ambient_dim, d.parts))
 
 
 def join(*parts: DomainExpr) -> DomainExpr:
-    """Join-product of the given domains, canonicalized left-leaning."""
+    """Join-product of the given domains, with nested joins flattened."""
     if not parts:
         raise ValueError("join requires at least one domain")
     flat: list[DomainExpr] = []
     for p in parts:
-        flat.extend(_spine(p))
-    expr = flat[0]
-    for p in flat[1:]:
-        expr = Join(expr, p)
-    return expr
-
-
-def _spine(d: DomainExpr) -> list[DomainExpr]:
-    if isinstance(d, Join):
-        return _spine(d.left) + _spine(d.right)
-    return [d]
+        flat.extend(factors(p))
+    return flat[0] if len(flat) == 1 else Join(tuple(flat))
 
 
 def factors(d: DomainExpr) -> list[DomainExpr]:
     """Join factors of d in order (a non-join domain is its own factor)."""
-    return _spine(d)
+    return list(d.parts) if isinstance(d, Join) else [d]
 
 
 def expand_named(d: DomainExpr) -> DomainExpr:
@@ -142,7 +138,7 @@ def expand_named(d: DomainExpr) -> DomainExpr:
     Sector and RegularT(n >= 3) are irreducible. Idempotent.
     """
     if isinstance(d, Join):
-        return join(expand_named(d.left), expand_named(d.right))
+        return join(*map(expand_named, d.parts))
     if not isinstance(d, Named):
         return d
     if d.kind == "Sphere":
@@ -168,9 +164,7 @@ def capabilities(d: DomainExpr) -> DomainCapabilities:
         isinstance(p, (AtomS0, AtomT0)) or (isinstance(p, Named) and p.kind == "Arc")
         for p in factors(expanded)
     )
-    return DomainCapabilities(
-        ambient_dim=ambient_dim(d), spectrum_exact=exact, geometry_known=True
-    )
+    return DomainCapabilities(ambient_dim=ambient_dim(d), spectrum_exact=exact)
 
 
 def print_domain(d: DomainExpr) -> str:
@@ -186,6 +180,12 @@ _TOKEN_RE = re.compile(
 )
 
 _IDENTS = ("Sphere", "T", "HalfSphere", "Arc", "RegularT", "Cap", "Sector")
+
+# largest cone dimension accepted: catalog names expand into one factor
+# per dimension, so a dimension like 1e9 would exhaust memory
+MAX_DIM = 10_000
+# deepest parenthesis nesting accepted; the parser recurses per level
+_MAX_NESTING = 100
 
 # keyword and arity by catalog name: (positional names, minimum n)
 _SIGNATURES = {
@@ -232,6 +232,7 @@ def _tokenize(text: str) -> list[_Token]:
 class _Parser:
     tokens: list[_Token]
     pos: int = 0
+    depth: int = 0  # open parentheses
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -257,9 +258,13 @@ class _Parser:
     def term(self) -> DomainExpr:
         tok = self.peek()
         if tok.kind == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError(tok.offset, {"S0", "T0", *_IDENTS}, "( nested too deep")
             self.take()
+            self.depth += 1
             inner = self.expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         if tok.kind == "ident":
             if tok.text == "S0":
@@ -339,11 +344,11 @@ def _build_named(name: str, args: dict[str, float], min_n: int, offset: int) -> 
             raise ParseError(offset, {key}, f"missing argument {key} to {name}")
     if name in ("Sphere", "T", "HalfSphere", "RegularT"):
         n_raw = args["n"]
-        n = int(round(n_raw))
-        if abs(n_raw - n) > 0:
+        if not min_n <= n_raw <= MAX_DIM:
+            raise DimensionError(f"{name} requires {min_n} <= n <= {MAX_DIM}, got {n_raw}")
+        n = int(n_raw)
+        if n != n_raw:
             raise DimensionError(f"{name} dimension must be an integer, got {n_raw}")
-        if n < min_n:
-            raise DimensionError(f"{name} requires n >= {min_n}, got {n}")
     else:
         n = 0
     if name == "Arc":
@@ -378,4 +383,6 @@ def parse_domain(text: str) -> DomainExpr:
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(tok.offset, {"*", "end"}, tok.text)
+    if ambient_dim(expr) > MAX_DIM:
+        raise DimensionError(f"cone dimension {ambient_dim(expr)} exceeds {MAX_DIM}")
     return expr

@@ -24,7 +24,7 @@ class ParseError(ConespecError):
 
 
 class DimensionError(ConespecError):
-    """A named domain was given a dimension below its minimum."""
+    """A domain's dimension or angle lies outside its allowed range."""
 
 
 class DimensionMismatch(ConespecError):
@@ -61,7 +61,7 @@ class NegativeDiscriminant(ConespecError):
 
 
 class RootNotBracketed(ConespecError):
-    """Bisection could not bracket a sign change."""
+    """A Neumann quadratic estimate has no nonnegative root."""
 
 
 class QuadratureFailure(ConespecError):

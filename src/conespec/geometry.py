@@ -1,10 +1,9 @@
 """Areas, boundary sizes, corner data and asymptotic coefficients.
 
 Sizes are measured on the unit sphere S^{n-1} the domain lives on.
-Size fractions (|Omega|/|S^{n-1}|) are multiplicative under the join
-product; boundary fractions (|dOmega|/|S^{n-2}|) obey the product rule
-g_12 = g_1 f_2 + f_1 g_2 that follows from splitting the boundary of a
-join into its two segment families.
+Each join factor carries its size, boundary, K-integral and corner data
+as fractions of unit-sphere sizes; one product rule folds them over the
+factors of a join (see :func:`_join_cone`).
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .domain import (
     BoundaryCondition,
     DomainExpr,
     Named,
-    ambient_dim,
     expand_named,
     factors,
 )
@@ -220,134 +218,93 @@ def _orthant(r: np.ndarray) -> np.ndarray:
     return total
 
 
-# --- per-domain fractions, boundaries, corners ------------------------
+# --- cone data of join factors, folded by the product rule -----------
 
 
-def _fractions(d: DomainExpr) -> tuple[int, float, float]:
-    """(cone dim, size fraction, boundary fraction) of a catalog domain."""
+def _regular_t_fraction(m: int, sigma: float) -> float:
+    """t(m, sigma) = |T_(sigma)^{m-1}| / |S^{m-1}|, in closed form for m <= 3."""
+    if m == 1:
+        return 0.5
+    if m == 2:
+        return math.acos(-sigma) / (2.0 * math.pi)
+    if m == 3:
+        return (3.0 * math.acos(-sigma) - math.pi) / (4.0 * math.pi)
+    return 2.0**-m * _regular_t_fraction_of_t(m, sigma)
+
+
+def _cone(d: DomainExpr) -> tuple[int, float, float, float, tuple[tuple[float, float], ...]]:
+    """Cone data (n, f, g, k, corners) of one join factor after
+    expand_named: S0, T0, Arc, Cap, Sector or RegularT(n >= 3).
+
+    f = |Omega| / |S^{n-1}|, g = |dOmega| / |S^{n-2}|, k = (integral of
+    the boundary's geodesic curvature) / |S^{n-3}|, and each corner locus
+    is (dihedral angle, |locus| / |S^{n-3}|). An arc's corner is the apex
+    of its cone.
+    """
     if isinstance(d, AtomS0):
-        return 1, 1.0, 0.0
+        return 1, 1.0, 0.0, 0.0, ()
     if isinstance(d, AtomT0):
-        return 1, 0.5, 1.0
-    if isinstance(d, Named):
-        if d.kind == "Sphere":
-            return d.n, 1.0, 0.0
-        if d.kind == "T":
-            return d.n, 2.0**-d.n, d.n * 2.0 ** (1 - d.n)
-        if d.kind == "HalfSphere":
-            return d.n, 0.5, 1.0
-        if d.kind == "Arc":
-            return 2, d.angle / (2.0 * math.pi), 1.0
-        if d.kind == "RegularT":
-            n = d.n
-            f = regular_t_size(n, d.rho) / sphere_size(n)
-            g = regular_t_boundary_size(n, d.rho) / sphere_size(n - 1)
-            return n, f, g
-        if d.kind == "Cap":
-            theta = d.angle
-            return 3, 0.5 * (1.0 - math.cos(theta)), math.sin(theta)
-        if d.kind == "Sector":
-            theta, phi = d.angle, d.angle2
-            f = phi * (1.0 - math.cos(theta)) / (4.0 * math.pi)
-            g = (phi * math.sin(theta) + 2.0 * theta) / (2.0 * math.pi)
-            return 3, f, g
-    n1, f1, g1 = _fractions(d.left)
-    n2, f2, g2 = _fractions(d.right)
-    return n1 + n2, f1 * f2, g1 * f2 + f1 * g2
+        return 1, 0.5, 1.0, 0.0, ()
+    if d.kind == "Arc":
+        return 2, d.angle / (2.0 * math.pi), 1.0, 0.0, ((d.angle, 1.0),)
+    if d.kind == "Cap":
+        # (1 - cos theta) / 2, without its cancellation at small theta
+        theta = d.angle
+        return 3, math.sin(0.5 * theta) ** 2, math.sin(theta), math.pi * math.cos(theta), ()
+    if d.kind == "Sector":
+        theta, phi = d.angle, d.angle2
+        f = phi * math.sin(0.5 * theta) ** 2 / (2.0 * math.pi)
+        g = (phi * math.sin(theta) + 2.0 * theta) / (2.0 * math.pi)
+        # only the cap-arc edge is non-geodesic; it meets both meridians
+        # at right angles
+        return 3, f, g, 0.5 * phi * math.cos(theta), ((phi, 0.5), (0.5 * math.pi, 1.0))
+    # RegularT: facets are T_(rho/(1+rho)) of one dimension less, and the
+    # C(n,2) codim-2 faces T_(rho/(1+2rho)) of two dimensions less meet
+    # at the dihedral angle arccos(-rho)
+    n, rho = d.n, d.rho
+    g = n * _regular_t_fraction(n - 1, rho / (1.0 + rho))
+    face = math.comb(n, 2) * _regular_t_fraction(n - 2, rho / (1.0 + 2.0 * rho))
+    return n, _regular_t_fraction(n, rho), g, 0.0, ((math.acos(-rho), face),)
+
+
+def _join_cone(d: DomainExpr) -> tuple[int, float, float, float, dict[float, float]]:
+    """Cone data of d, folded over its join factors.
+
+    The cone of a join is the product C1 x C2, whose boundary is
+    dC1 x C2 and C1 x dC2, meeting at right angles along dC1 x dC2. So
+    f = f1 f2, g = g1 f2 + f1 g2, k = k1 f2 + f1 k2 and
+    corners = c1 f2 + f1 c2 + (pi/2, g1 g2); corners are merged by angle.
+    """
+    n, f, g, k = 0, 1.0, 0.0, 0.0
+    corners: dict[float, float] = {}
+    for part in factors(expand_named(d)):
+        n2, f2, g2, k2, c2 = _cone(part)
+        corners = {angle: m * f2 for angle, m in corners.items()}
+        for angle, m in c2:
+            corners[angle] = corners.get(angle, 0.0) + f * m
+        if g * g2:
+            corners[0.5 * math.pi] = corners.get(0.5 * math.pi, 0.0) + g * g2
+        n, f, g, k = n + n2, f * f2, g * f2 + f * g2, k * f2 + f * k2
+    return n, f, g, k, corners
 
 
 def size_fraction(d: DomainExpr) -> float:
-    return _fractions(d)[1]
-
-
-def _atom_join_corners(parts: list[DomainExpr], n: int) -> list[tuple[float, float]]:
-    """Corner loci of a join of S0/T0/Arc atoms.
-
-    Boundary segments come from each T0 (one segment) and each arc (two
-    edge segments, behaving as half-fraction rays). Distinct segments
-    meet at right angles except the two edges of one arc, which meet at
-    the arc's opening angle. Every locus has cone dimension n-2; its
-    measure is its size fraction times |S^{n-3}|.
-    """
-    if n < 3:
-        return []
-    total_f = 1.0
-    for p in parts:
-        total_f *= _fractions(p)[1]
-    t0_fracs = [0.5 for p in parts if isinstance(p, AtomT0)]
-    arcs = [p for p in parts if isinstance(p, Named) and p.kind == "Arc"]
-    sphere_m = sphere_size(n - 2)
-    corners: list[tuple[float, float]] = []
-
-    def locus_measure(drop: float, point_fraction: float) -> float:
-        # drop: product of the fractions of the removed factors
-        return total_f / drop * point_fraction * sphere_m
-
-    q = len(t0_fracs)
-    for i in range(q):
-        for _ in range(i + 1, q):
-            corners.append((0.5 * math.pi, locus_measure(0.25, 1.0)))
-    for arc in arcs:
-        f_arc = arc.angle / (2.0 * math.pi)
-        # the arc's own two edges meet at its opening angle
-        corners.append((arc.angle, locus_measure(f_arc, 1.0)))
-        # each edge meets every T0 segment at a right angle
-        for _ in range(2 * q):
-            corners.append((0.5 * math.pi, locus_measure(f_arc * 0.5, 0.5)))
-    for i, arc in enumerate(arcs):
-        for other in arcs[i + 1 :]:
-            f_pair = (arc.angle / (2.0 * math.pi)) * (other.angle / (2.0 * math.pi))
-            for _ in range(4):
-                corners.append((0.5 * math.pi, locus_measure(f_pair * 0.25, 0.25)))
-    return corners
-
-
-def _corners(d: DomainExpr, n: int) -> tuple[tuple[float, float], ...]:
-    expanded = expand_named(d)
-    parts = factors(expanded)
-    if all(
-        isinstance(p, (AtomS0, AtomT0)) or (isinstance(p, Named) and p.kind == "Arc")
-        for p in parts
-    ):
-        return tuple(_atom_join_corners(parts, n))
-    if isinstance(expanded, Named):
-        if expanded.kind == "Cap":
-            return ()
-        if expanded.kind == "Sector":
-            return (
-                (expanded.angle2, 1.0),
-                (0.5 * math.pi, 1.0),
-                (0.5 * math.pi, 1.0),
-            )
-        if expanded.kind == "RegularT" and expanded.n == 3:
-            return ((math.acos(-expanded.rho), 1.0),) * 3
-    # corner loci with varying or unknown dihedral data (e.g. RegularT on
-    # S^3 and above, mixed joins of irreducible factors) are not carried
-    return ()
+    return _join_cone(d)[1]
 
 
 def catalog_geometry(d: DomainExpr, bc: BoundaryCondition) -> DomainGeometry:
     """Geometric data of a catalog domain or join of catalog domains."""
-    n, f, g = _fractions(d)
+    n, f, g, k, corners = _join_cone(d)
     area = f * sphere_size(n)
-    boundary = g * (sphere_size(n - 1) if n >= 2 else 1.0)
-    bulk = (n - 1) * (n - 2) * area
-    expanded = expand_named(d)
-    if isinstance(expanded, Named) and expanded.kind == "Cap":
-        k_integral = math.cos(expanded.angle) / math.sin(expanded.angle) * boundary
-    elif isinstance(expanded, Named) and expanded.kind == "Sector":
-        # only the cap-arc edge is non-geodesic
-        k_integral = expanded.angle2 * math.cos(expanded.angle)
-    else:
-        # all other catalog boundaries are pieces of great spheres
-        k_integral = 0.0
+    # K-integral and corner loci live on S^{n-3}
+    edge = sphere_size(n - 2) if n >= 3 else 0.0
     return DomainGeometry(
         n=n,
         area=area,
-        boundary=boundary,
-        bulk_R_integral=bulk,
-        boundary_K_integral=k_integral,
-        corners=_corners(d, n),
+        boundary=g * (sphere_size(n - 1) if n >= 2 else 1.0),
+        bulk_R_integral=(n - 1) * (n - 2) * area,
+        boundary_K_integral=k * edge,
+        corners=tuple((angle, m * edge) for angle, m in corners.items()) if edge else (),
         bc=bc,
     )
 
@@ -413,6 +370,8 @@ def scaling_inputs(g: DomainGeometry) -> ScalingInputs:
     """gamma, c0, c1 and the quadratic-combination parameters p, q."""
     if g.n < 2:
         raise UnsupportedDomain("scaling inputs need ambient dimension >= 2")
+    if not g.area > 0.0:
+        raise OverflowError(f"boundary / area overflows: the area is {g.area}")
     sign = 1.0 if g.bc.is_dirichlet else -1.0
     gamma = sign * 0.5 * sphere_size(g.n) / sphere_size(g.n - 1) * g.boundary / g.area
     c0 = 2.0 * g.area / sphere_size(g.n)
@@ -421,4 +380,6 @@ def scaling_inputs(g: DomainGeometry) -> ScalingInputs:
     p = ell - 0.5 * gamma
     a2 = heat_coeffs(g).a2
     q = -ell * ell - 0.25 * (g.n - 2) * gamma * gamma + a2 / g.area
+    if not (math.isfinite(gamma) and math.isfinite(q)):
+        raise OverflowError(f"scaling inputs out of range: gamma {gamma}, q {q}")
     return ScalingInputs(gamma=gamma, p=p, q=q, c0=c0, c1=c1, n=g.n, area=g.area)

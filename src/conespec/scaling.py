@@ -98,12 +98,12 @@ def quadratic_params(target: ScalingInputs, ref: ScalingInputs) -> QuadraticScal
 def _flatten(ref_series: SpectralSeries, modes: int) -> list[float]:
     if modes < 1:
         raise ValueError(f"modes must be >= 1, got {modes}")
-    flat = ref_series.flattened()
+    flat = ref_series.flattened(modes)
     if len(flat) < modes:
         raise InsufficientModes(
             f"reference series has {len(flat)} modes, {modes} requested"
         )
-    return flat[:modes]
+    return flat
 
 
 def _report(method: str, degrees: list[float], estimates: list[float], n: int) -> EstimateReport:
@@ -156,33 +156,46 @@ def estimate_neumann(
     p_t, q_t, p_r, q_r = sc.p_t, sc.q_t, sc.p_r, sc.q_r
     for nu0 in degrees:
         rhs = beta**3 * ((nu0 + p_r) ** 3 + 1.5 * q_r * nu0 - p_r**3)
-
-        def f(nu: float) -> float:
-            return (nu + p_t) ** 3 + 1.5 * q_t * nu - p_t**3 - rhs
-
-        estimates.append(_bisect_nonneg(f))
+        estimates.append(_cubic_root(p_t, q_t, rhs))
     return _report("neumann-quadratic", degrees, estimates, sc.n)
 
 
-def _bisect_nonneg(f, tol: float = 1e-12) -> float:
-    """Root of a function monotone on nu >= 0 with f(0) <= 0."""
-    if f(0.0) > tol:
-        raise RootNotBracketed("f(0) > 0, no nonnegative root")
-    hi = 1.0
-    for _ in range(200):
-        if f(hi) >= 0.0:
-            break
-        hi *= 2.0
+def _cubic_root(p: float, q: float, rhs: float) -> float:
+    """Nonnegative root nu of (nu + p)^3 + 1.5 q nu - p^3 = rhs.
+
+    With x = nu + p this is x^3 + 1.5 q x = r, r = p^3 + 1.5 q p + rhs.
+    Its largest real root comes from Cardano's formula, in the form that
+    takes the cube root on the side without cancellation, or from the
+    trigonometric form when there are three real roots. One Newton step
+    on nu (nu^3 + 3p nu^2 + (3p^2 + 1.5q) nu = rhs, free of the p^3
+    cancellation) polishes it. rhs < 0 leaves no nonnegative root when
+    p >= 0.
+    """
+    if rhs < 0.0:
+        raise RootNotBracketed(f"no nonnegative root for right-hand side {rhs:g}")
+    if rhs == 0.0:
+        # nu = 0, or the larger root of nu^2 + 3p nu + 3p^2 + 1.5q when
+        # positive: the mode nu0 = 0 maps to 0 exactly
+        d = -3.0 * p * p - 6.0 * q
+        return max(0.0, 0.5 * (math.sqrt(d) - 3.0 * p)) if d > 0.0 else 0.0
+    # solve in units of s, in which every coefficient is at most 1, so
+    # that nothing below overflows or underflows
+    s = max(p, math.sqrt(abs(q)), rhs ** (1.0 / 3.0))
+    p, q, rhs = p / s, q / s / s, rhs / s / s / s
+    a = 0.5 * q  # one third of the linear coefficient in x
+    r = p**3 + 1.5 * q * p + rhs
+    disc = 0.25 * r * r + a**3
+    if disc >= 0.0:
+        u = math.copysign((0.5 * abs(r) + math.sqrt(disc)) ** (1.0 / 3.0), r)
+        x = u - a / u if u else 0.0
     else:
-        raise RootNotBracketed("no sign change up to huge nu")
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+        m = math.sqrt(-a)
+        x = 2.0 * m * math.cos(math.acos(max(-1.0, min(1.0, 0.5 * r / m**3))) / 3.0)
+    nu = x - p
+    slope = 3.0 * x * x + 1.5 * q
+    if slope > 0.0:
+        nu -= (nu * (nu * (nu + 3.0 * p) + 3.0 * p * p + 1.5 * q) - rhs) / slope
+    return s * max(0.0, nu)
 
 
 def flat_reference_estimate(

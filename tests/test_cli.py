@@ -2,10 +2,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
 
+import conespec
 from conespec.cli import main
 
 
@@ -89,6 +93,21 @@ class TestExitCodes:
             assert code == 2, expr
 
     @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["spectrum", "(" * 101 + "S0" + ")" * 101], 2),  # RecursionError past ~500
+            (["size", "Sphere(1e400/1e400)"], 2),  # NaN dimension
+            (["size", "Sphere(20000)"], 2),
+            (["coeffs", "Cap(theta=1e-9)"], 0),  # its area was 0
+            (["coeffs", "Cap(theta=1e-200)"], 3),
+            (["coeffs", "Arc(5e-324) * T0"], 3),
+            (["spectrum", "Arc(1e-308)", "--bc", "neumann"], 3),  # pi / angle is inf
+        ],
+    )
+    def test_found_by_fuzzing(self, argv, code):
+        assert run(argv)[0] == code
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["estimate", "--target", "RegularT(3, rho=0.5)", "--reference", "T(3)",
@@ -165,6 +184,46 @@ class TestSizeAndCoeffs:
             "n", "area", "boundary", "c0", "c1", "gamma",
             "a0", "a1", "a2", "b0", "b1", "b2", "p", "q",
         }
+
+    @pytest.mark.parametrize(
+        "expr, a2",
+        [
+            ("Arc(pi/2)*Arc(pi/2)", "8.63590385095"),  # T(4)
+            ("T(4)", "8.63590385095"),
+            ("Cap(theta=pi/3)*T0", "8.38599923544"),
+            ("RegularT(4, rho=0.5)", "8.72169228861"),
+        ],
+    )
+    def test_coeffs_a2_with_all_corners(self, expr, a2):
+        code, out = run(["coeffs", expr])
+        assert code == 0
+        assert f"a2 = {a2}\n" in out
+
+
+def run_fresh(argv):
+    """Exit code of a fresh `python -m conespec.cli` run, killed after 10 s."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(conespec.__file__))  # the code under test
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "conespec.cli", *argv],
+        env=env, capture_output=True, timeout=10,
+    ).returncode
+
+
+class TestTermination:
+    def test_huge_cutoff_is_refused(self):
+        assert run_fresh(["spectrum", "T(3)", "--max-nu", "1e9"]) == 3
+
+    def test_thin_arc_reference_is_refused(self):
+        # its first degree pi / angle is infinite, so the cutoff doubled forever
+        argv = ["estimate", "--target", "Arc(1e-308) * T0", "--reference", "Arc(1e-308) * T0"]
+        assert run_fresh(argv) == 3
+
+    def test_tiny_cap_neumann_quadratic(self):
+        argv = ["estimate", "--target", "Cap(theta=0.0001)", "--reference", "HalfSphere(3)",
+                "--bc", "neumann", "--method", "quadratic", "--modes", "2"]
+        assert run_fresh(argv) == 0
 
 
 class TestVerifyAndPaper:

@@ -36,10 +36,13 @@ class TestParse:
         assert parse_domain("Arc(2*pi/3)") == Named("Arc", angle=2 * math.pi / 3)
         assert parse_domain("Cap(theta=0.5)") == Named("Cap", angle=0.5)
 
-    def test_join_is_left_leaning(self):
+    def test_join_is_flat(self):
         d = parse_domain("S0 * T0 * S0")
-        assert d == Join(Join(AtomS0(), AtomT0()), AtomS0())
+        assert d == Join((AtomS0(), AtomT0(), AtomS0()))
         assert parse_domain("S0 * (T0 * S0)") == d
+        assert factors(d) == [AtomS0(), AtomT0(), AtomS0()]
+        with pytest.raises(ValueError):
+            Join((d, AtomS0()))
 
     def test_parens(self):
         assert parse_domain("(S0)") == AtomS0()
@@ -70,6 +73,15 @@ class TestParse:
             parse_domain("RegularT(3, 1.5)")
         with pytest.raises(DimensionError):
             parse_domain("Sphere(2.5)")
+        with pytest.raises(DimensionError):
+            parse_domain("T(1e9)")
+        with pytest.raises(DimensionError):
+            parse_domain("Sphere(6000) * Sphere(6000)")
+
+    def test_nesting_depth(self):
+        assert parse_domain("(" * 100 + "S0" + ")" * 100) == AtomS0()
+        with pytest.raises(ParseError):
+            parse_domain("(" * 101 + "S0" + ")" * 101)
 
     def test_round_trip_print(self):
         for text in (

@@ -3,8 +3,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conespec.domain import DIRICHLET, NEUMANN, parse_domain
+from conespec.domain import DIRICHLET, NEUMANN, AtomS0, AtomT0, Named, join, parse_domain
 from conespec.errors import NotPositiveDefinite, UnsupportedDomain
 from conespec.geometry import (
     cap_geometry,
@@ -299,6 +301,56 @@ class TestGeometryFormConsistency:
             co = asymptotics_from_form(domain_m(d, DIRICHLET))
             _, _, b2 = weyl_coeffs_geometric(g)
             assert b2 == pytest.approx(co.b2, abs=1e-9), n
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        st.lists(st.sampled_from([AtomS0(), AtomT0()]), max_size=5),
+        st.lists(st.floats(0.1, 2 * math.pi - 0.1), max_size=3),
+        st.sampled_from([DIRICHLET, NEUMANN]),
+        st.randoms(use_true_random=False),
+    )
+    def test_b2_of_atom_joins(self, atoms, angles, bc, rng):
+        # the product rule's a2, corners included, against the spectral b2
+        parts = atoms + [Named("Arc", angle=phi) for phi in angles]
+        rng.shuffle(parts)
+        if len(atoms) + 2 * len(angles) < 3:
+            return
+        d = join(*parts)
+        g = catalog_geometry(d, bc)
+        co = asymptotics_from_form(domain_m(d, bc))
+        _, _, b2 = weyl_coeffs_geometric(g)
+        assert b2 == pytest.approx(co.b2, rel=1e-10), str(d)
+
+    def test_regular_t_at_rho_zero_is_t(self):
+        for n in range(3, 8):
+            a2 = heat_coeffs(catalog_geometry(parse_domain(f"RegularT({n}, rho=0)"), DIRICHLET)).a2
+            want = heat_coeffs(catalog_geometry(parse_domain(f"T({n})"), DIRICHLET)).a2
+            assert a2 == pytest.approx(want, rel=1e-12), n
+
+    def test_regular_t_faces_match_the_integral(self):
+        # closed-form facets and codim-2 faces against the erfc integral
+        for n in range(3, 8):
+            for rho in (0.1, 0.5, 0.9):
+                g = catalog_geometry(parse_domain(f"RegularT({n}, rho={rho})"), DIRICHLET)
+                assert g.boundary == pytest.approx(regular_t_boundary_size(n, rho), rel=1e-12)
+                ((angle, measure),) = g.corners
+                face = math.comb(n, 2) * regular_t_size(n - 2, rho / (1 + 2 * rho))
+                assert angle == math.acos(-rho)
+                assert measure == pytest.approx(face, rel=1e-12), (n, rho)
+
+    @pytest.mark.parametrize(
+        "near, limit",
+        [
+            ("Cap(theta={}) * T0", "S0 * S0 * T0 * T0"),
+            ("Sector(theta={}, phi=pi/3) * S0", "Arc(pi/3) * T0 * S0"),
+        ],
+    )
+    def test_a2_continuous_at_the_equator(self, near, limit):
+        want = heat_coeffs(catalog_geometry(parse_domain(limit), DIRICHLET)).a2
+        for theta in (math.pi / 2 - 1e-7, math.pi / 2 + 1e-7):
+            d = parse_domain(near.format(repr(theta)))
+            a2 = heat_coeffs(catalog_geometry(d, DIRICHLET)).a2
+            assert a2 == pytest.approx(want, rel=1e-6), near
 
     def test_neumann_gamma_flips_sign(self):
         d = parse_domain("T(3)")

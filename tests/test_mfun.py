@@ -7,6 +7,7 @@ from conespec.domain import DIRICHLET, NEUMANN, join, parse_domain
 from conespec.errors import CutoffExceeded, UnsupportedDomain
 from conespec.geometry import catalog_geometry, scaling_inputs
 from conespec.mfun import (
+    SpectralSeries,
     asymptotics_from_form,
     atomic_m,
     b2_numeric_check,
@@ -84,7 +85,7 @@ class TestMultiplicityFormulas:
     def test_sphere_harmonic_polynomials(self):
         # dim of degree-nu harmonics in n variables:
         # C(nu + n - 1, nu) - C(nu + n - 3, nu - 2)
-        for n in range(2, 9):
+        for n in (*range(2, 9), 1000):
             got = series_dict(parse_domain(f"Sphere({n})"), DIRICHLET, 30)
             for nu in range(31):
                 expect = math.comb(nu + n - 1, nu) - (
@@ -170,6 +171,13 @@ class TestProductRule:
         m1 = domain_m(parse_domain("Sphere(3)"), DIRICHLET)
         m2 = domain_m(parse_domain("T(2)"), DIRICHLET)
         assert join_m(m1, m2).pole_order == m1.pole_order + m2.pole_order + 1
+
+
+    def test_flattened_stops_at_limit(self):
+        series = SpectralSeries(((0.0, 1), (1.0, 10**30), (2.0, 5)), 2.0)
+        assert series.flattened(3) == [0.0, 1.0, 1.0]
+        assert series.flattened(1) == [0.0]
+        assert SpectralSeries(((0.0, 1), (1.0, 2)), 1.0).flattened() == [0.0, 1.0, 1.0]
 
 
 class TestAsymptotics:

@@ -1,12 +1,21 @@
 import math
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conespec.domain import DIRICHLET, NEUMANN, parse_domain
-from conespec.errors import DimensionMismatch, InsufficientModes, UnsupportedDomain
+from conespec.errors import (
+    DimensionMismatch,
+    InsufficientModes,
+    RootNotBracketed,
+    UnsupportedDomain,
+)
 from conespec.geometry import catalog_geometry, scaling_inputs
 from conespec.mfun import domain_m, expand_series
 from conespec.scaling import (
+    _cubic_root,
     estimate_linear,
     estimate_pair,
     estimate_quadratic,
@@ -171,6 +180,37 @@ class TestNeumann:
             modes=4,
         )
         assert all(nu > 0 for _, _, nu, _ in report.rows[1:])
+
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        st.floats(0.0, 1e5),
+        st.floats(-1e9, 1e9),
+        st.one_of(st.just(0.0), st.floats(0.0, 1e15)),
+    )
+    def test_cubic_root_against_mpmath(self, p, q, rhs):
+        # largest root of x^3 + 1.5 q x = r, x = nu + p, by Newton from above
+        with mpmath.workdps(50):
+            a, r = 1.5 * mpmath.mpf(q), mpmath.mpf(p) ** 3 + 1.5 * mpmath.mpf(q) * p + rhs
+            x = 2 * (1 + abs(r) ** (mpmath.mpf(1) / 3) + mpmath.sqrt(abs(a)))
+            for _ in range(3000):
+                step = (x**3 + a * x - r) / (3 * x * x + a)
+                x -= step
+                if abs(step) <= mpmath.mpf(10) ** -40 * (1 + abs(x)):
+                    break
+            want = float(max(x - p, 0))
+        assert abs(_cubic_root(p, q, rhs) - want) <= 1e-13 * max(1.0, want)
+
+    def test_cubic_root_needs_nonnegative_rhs(self):
+        with pytest.raises(RootNotBracketed):
+            _cubic_root(1.0, 0.0, -1e-3)
+
+
+    def test_huge_multiplicities_flatten_to_modes(self):
+        # Sphere(40) reaches multiplicities near 1e19 by nu = 30
+        d = parse_domain("Sphere(40)")
+        report = estimate_pair(d, d, DIRICHLET, method="linear", modes=3)
+        assert [r[2] for r in report.rows] == pytest.approx([0.0, 1.0, 1.0])
 
 
 class TestMonotonicity:
